@@ -19,12 +19,14 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "accel/simd/simd.hpp"
 #include "bench_util.hpp"
 #include "obs/context.hpp"
 #include "obs/metrics.hpp"
+#include "obs/quantile.hpp"
 #include "obs/rollup.hpp"
 #include "storage/wal.hpp"
 
@@ -150,22 +152,6 @@ struct Instance {
   return total;
 }
 
-/// Telemetry consumes only values the kernel computes anyway, exactly like
-/// the fabric's gauge update consuming its already-built allocation map.
-template <typename Sink>
-double time_once_us(const Instance& in, Sink& sink, int reps,
-                    double& checksum) {
-  using Clock = std::chrono::steady_clock;
-  const auto t0 = Clock::now();
-  for (int r = 0; r < reps; ++r) {
-    const double total = water_fill(in);
-    sink.on_fill(total);
-    checksum += total;
-  }
-  const auto t1 = Clock::now();
-  return std::chrono::duration<double, std::micro>(t1 - t0).count() / reps;
-}
-
 /// --- Query-operator instrumentation -----------------------------------------
 //
 // Same claim, second hot loop: the vectorized query engine's per-batch
@@ -205,10 +191,8 @@ struct OpNoopSink {
 
 struct BatchInstance {
   std::vector<std::int64_t> values;
-  std::size_t batch_size;
 
-  BatchInstance(std::size_t rows, std::size_t batch) : batch_size{batch} {
-    values.resize(rows);
+  explicit BatchInstance(std::size_t rows) : values(rows) {
     std::uint64_t x = 0x9E3779B97F4A7C15ULL;
     for (auto& v : values) {
       x ^= x << 13;
@@ -234,27 +218,6 @@ struct BatchInstance {
   std::int64_t total = 0;
   for (const std::uint32_t i : sel) total += values[i];
   return total;
-}
-
-template <typename Sink>
-double time_batches_us(const BatchInstance& in, Sink& sink, int reps,
-                       double& checksum) {
-  using Clock = std::chrono::steady_clock;
-  std::vector<std::uint32_t> sel;
-  sel.reserve(in.batch_size);
-  const auto t0 = Clock::now();
-  for (int r = 0; r < reps; ++r) {
-    std::int64_t total = 0;
-    for (std::size_t base = 0; base < in.values.size();
-         base += in.batch_size) {
-      const std::size_t n = std::min(in.batch_size, in.values.size() - base);
-      total += filter_sum_batch(in.values.data() + base, n, sel);
-      sink.on_batch(n, sel.size());
-    }
-    checksum += static_cast<double>(total);
-  }
-  const auto t1 = Clock::now();
-  return std::chrono::duration<double, std::micro>(t1 - t0).count() / reps;
 }
 
 /// --- Durable-store WAL-append instrumentation -------------------------------
@@ -311,24 +274,6 @@ struct WalInstance {
   return rb::storage::encode_wal_record(r).size();
 }
 
-template <typename Sink>
-double time_wal_us(const WalInstance& in, Sink& sink, int reps,
-                   double& checksum) {
-  using Clock = std::chrono::steady_clock;
-  const auto t0 = Clock::now();
-  for (int r = 0; r < reps; ++r) {
-    std::uint64_t total = 0;
-    for (const auto& record : in.records) {
-      const std::size_t framed = frame_record(record);
-      sink.on_append(framed);
-      total += framed;
-    }
-    checksum += static_cast<double>(total);
-  }
-  const auto t1 = Clock::now();
-  return std::chrono::duration<double, std::micro>(t1 - t0).count() / reps;
-}
-
 /// --- SIMD selection-scan instrumentation ------------------------------------
 //
 // Same claim, fourth hot loop: the dispatched SIMD kernel layer's per-batch
@@ -362,17 +307,13 @@ struct SimdInstance {
   // load splits two cache lines and halves effective L1 bandwidth.
   std::int64_t* values;
   std::uint32_t* sel;
-  std::size_t rows;
-  std::size_t batch;
 
-  SimdInstance(std::size_t n, std::size_t b)
+  explicit SimdInstance(std::size_t n)
       : values{static_cast<std::int64_t*>(
             std::aligned_alloc(64, n * sizeof(std::int64_t)))},
         sel{static_cast<std::uint32_t*>(
             std::aligned_alloc(64, ((n * sizeof(std::uint32_t) + 63) / 64) *
-                                       64))},
-        rows{n},
-        batch{b} {
+                                       64))} {
     std::uint64_t x = 0x2545F4914F6CDD1DULL;
     for (std::size_t i = 0; i < n; ++i) {
       x ^= x << 13;
@@ -397,22 +338,69 @@ struct SimdInstance {
   return rb::accel::simd::kernels().select_between(values, n, 250, 750, sel);
 }
 
-template <typename Sink>
-double time_simd_us(const SimdInstance& in, Sink& sink, int reps,
-                    double& checksum) {
+/// --- Shared trial loop ----------------------------------------------------
+
+struct Overhead {
+  double noop_us = 1e300;     // fastest no-op trial, per rep
+  double guarded_us = 1e300;  // fastest guarded trial, per rep
+  double pct = 0.0;           // median per-pair overhead
+};
+
+/// Mean wall time of `reps` calls of `rep`, in microseconds.
+template <typename Rep>
+double time_us(int reps, Rep&& rep) {
   using Clock = std::chrono::steady_clock;
   const auto t0 = Clock::now();
-  for (int r = 0; r < reps; ++r) {
-    std::size_t total = 0;
-    for (std::size_t base = 0; base < in.rows; base += in.batch) {
-      const std::size_t n = std::min(in.batch, in.rows - base);
-      total += simd_scan_batch(in.values + base, n, in.sel);
-      sink.on_batch(n);
-    }
-    checksum += static_cast<double>(total);
-  }
+  for (int r = 0; r < reps; ++r) rep();
   const auto t1 = Clock::now();
   return std::chrono::duration<double, std::micro>(t1 - t0).count() / reps;
+}
+
+/// Times the two paths back-to-back in pairs (alternating which goes first)
+/// and takes the median of the per-pair ratios: frequency drift and
+/// scheduler noise hit both halves of a pair, so the ratio is far more
+/// stable than two independent minima.
+template <typename NoopRep, typename GuardedRep>
+Overhead compare(int reps, NoopRep&& noop, GuardedRep&& guarded) {
+  constexpr int kPairs = 41;
+  Overhead out;
+  std::vector<double> ratios;
+  ratios.reserve(kPairs);
+  for (int a = 0; a < kPairs; ++a) {
+    double n = 0.0, g = 0.0;
+    if (a % 2 == 0) {
+      n = time_us(reps, noop);
+      g = time_us(reps, guarded);
+    } else {
+      g = time_us(reps, guarded);
+      n = time_us(reps, noop);
+    }
+    out.noop_us = std::min(out.noop_us, n);
+    out.guarded_us = std::min(out.guarded_us, g);
+    ratios.push_back(g / n);
+  }
+  out.pct = (rb::obs::quantile_select(ratios, 50.0) - 1.0) * 100.0;
+  return out;
+}
+
+/// Prints one section's result and records it as <prefix>noop_us_per_<unit>,
+/// <prefix>guarded_disabled_us_per_<unit>, <prefix>overhead_pct and
+/// <prefix>pass. Returns whether it meets the < 2% bar.
+bool report_overhead(rb::bench::Report& report, const std::string& prefix,
+                     const std::string& unit, const Overhead& o,
+                     double checksum) {
+  std::printf("%-28s %14.1f us/%s\n", "no-op sink (compile-time)", o.noop_us,
+              unit.c_str());
+  std::printf("%-28s %14.1f us/%s\n", "guarded sink (obs disabled)",
+              o.guarded_us, unit.c_str());
+  std::printf("%-28s %+14.2f %%   (accept: < 2%%)\n", "overhead", o.pct);
+  std::printf("(checksum %.3e)\n", checksum);
+  const bool pass = o.pct < 2.0;
+  report.metric(prefix + "noop_us_per_" + unit, o.noop_us);
+  report.metric(prefix + "guarded_disabled_us_per_" + unit, o.guarded_us);
+  report.metric(prefix + "overhead_pct", o.pct);
+  report.metric(prefix + "pass", pass);
+  return pass;
 }
 
 }  // namespace
@@ -437,42 +425,18 @@ int main(int argc, char** argv) {
 
   NoopSink noop;
   GuardedSink guarded;  // resolves its registry counters up front
-  (void)water_fill(instance);  // warm caches before timing
-
-  // Time the two paths back-to-back in pairs (alternating which goes first)
-  // and take the median of the per-pair ratios: frequency drift and
-  // scheduler noise hit both halves of a pair, so the ratio is far more
-  // stable than two independent minima.
-  constexpr int kAttempts = 41;
-  std::vector<double> ratios;
-  double noop_us = 1e300, guarded_us = 1e300;
-  ratios.reserve(kAttempts);
-  for (int a = 0; a < kAttempts; ++a) {
-    double n = 0.0, g = 0.0;
-    if (a % 2 == 0) {
-      n = time_once_us(instance, noop, kReps, checksum);
-      g = time_once_us(instance, guarded, kReps, checksum);
-    } else {
-      g = time_once_us(instance, guarded, kReps, checksum);
-      n = time_once_us(instance, noop, kReps, checksum);
-    }
-    noop_us = std::min(noop_us, n);
-    guarded_us = std::min(guarded_us, g);
-    ratios.push_back(g / n);
-  }
-  std::sort(ratios.begin(), ratios.end());
-  const double overhead_pct = (ratios[kAttempts / 2] - 1.0) * 100.0;
-
-  std::printf("%-28s %14.1f us/fill\n", "no-op sink (compile-time)", noop_us);
-  std::printf("%-28s %14.1f us/fill\n", "guarded sink (obs disabled)",
-              guarded_us);
-  std::printf("%-28s %+14.2f %%   (accept: < 2%%)\n", "overhead", overhead_pct);
-  std::printf("(checksum %.3e)\n", checksum);
-
-  report.metric("noop_us_per_fill", noop_us);
-  report.metric("guarded_disabled_us_per_fill", guarded_us);
-  report.metric("overhead_pct", overhead_pct);
-  report.metric("pass", overhead_pct < 2.0);
+  // Telemetry consumes only values the kernel computes anyway, exactly like
+  // the fabric's gauge update consuming its already-built allocation map.
+  const auto fill = [&](auto& sink) {
+    const double total = water_fill(instance);
+    sink.on_fill(total);
+    checksum += total;
+  };
+  fill(noop);  // warm caches before timing
+  const Overhead fill_ovh =
+      compare(kReps, [&] { fill(noop); }, [&] { fill(guarded); });
+  const bool fill_pass =
+      report_overhead(report, "", "fill", fill_ovh, checksum);
 
   bench::note("disabled observability costs one relaxed atomic load per");
   bench::note("reallocation pass — noise-level on the water-fill kernel.");
@@ -486,42 +450,25 @@ int main(int argc, char** argv) {
   report.config("query_rows", std::int64_t{kRows});
   report.config("query_batch", std::int64_t{kBatch});
 
-  const BatchInstance batch_instance{kRows, kBatch};
+  const BatchInstance batch_instance{kRows};
   OpNoopSink op_noop;
   OpGuardedSink op_guarded;
-  (void)time_batches_us(batch_instance, op_noop, 1, checksum);  // warm caches
-
-  std::vector<double> op_ratios;
-  double op_noop_us = 1e300, op_guarded_us = 1e300;
-  op_ratios.reserve(kAttempts);
-  for (int a = 0; a < kAttempts; ++a) {
-    double n = 0.0, g = 0.0;
-    if (a % 2 == 0) {
-      n = time_batches_us(batch_instance, op_noop, kBatchReps, checksum);
-      g = time_batches_us(batch_instance, op_guarded, kBatchReps, checksum);
-    } else {
-      g = time_batches_us(batch_instance, op_guarded, kBatchReps, checksum);
-      n = time_batches_us(batch_instance, op_noop, kBatchReps, checksum);
+  std::vector<std::uint32_t> sel;
+  sel.reserve(kBatch);
+  const auto batches = [&](auto& sink) {
+    std::int64_t total = 0;
+    for (std::size_t base = 0; base < kRows; base += kBatch) {
+      const std::size_t n = std::min(kBatch, kRows - base);
+      total += filter_sum_batch(batch_instance.values.data() + base, n, sel);
+      sink.on_batch(n, sel.size());
     }
-    op_noop_us = std::min(op_noop_us, n);
-    op_guarded_us = std::min(op_guarded_us, g);
-    op_ratios.push_back(g / n);
-  }
-  std::sort(op_ratios.begin(), op_ratios.end());
-  const double op_overhead_pct = (op_ratios[kAttempts / 2] - 1.0) * 100.0;
-
-  std::printf("%-28s %14.1f us/pass\n", "no-op sink (compile-time)",
-              op_noop_us);
-  std::printf("%-28s %14.1f us/pass\n", "guarded sink (obs disabled)",
-              op_guarded_us);
-  std::printf("%-28s %+14.2f %%   (accept: < 2%%)\n", "overhead",
-              op_overhead_pct);
-  std::printf("(checksum %.3e)\n", checksum);
-
-  report.metric("op_noop_us_per_pass", op_noop_us);
-  report.metric("op_guarded_disabled_us_per_pass", op_guarded_us);
-  report.metric("op_overhead_pct", op_overhead_pct);
-  report.metric("op_pass", op_overhead_pct < 2.0);
+    checksum += static_cast<double>(total);
+  };
+  batches(op_noop);  // warm caches
+  const Overhead op_ovh = compare(kBatchReps, [&] { batches(op_noop); },
+                                  [&] { batches(op_guarded); });
+  const bool op_pass =
+      report_overhead(report, "op_", "pass", op_ovh, checksum);
 
   bench::note("operator counters cost one relaxed atomic load per batch —");
   bench::note("amortized over 1024 rows, noise-level on the filter kernel.");
@@ -536,39 +483,20 @@ int main(int argc, char** argv) {
   const WalInstance wal_instance{kWalRecords};
   WalNoopSink wal_noop;
   WalGuardedSink wal_guarded;
-  (void)time_wal_us(wal_instance, wal_noop, 1, checksum);  // warm caches
-
-  std::vector<double> wal_ratios;
-  double wal_noop_us = 1e300, wal_guarded_us = 1e300;
-  wal_ratios.reserve(kAttempts);
-  for (int a = 0; a < kAttempts; ++a) {
-    double n = 0.0, g = 0.0;
-    if (a % 2 == 0) {
-      n = time_wal_us(wal_instance, wal_noop, kWalReps, checksum);
-      g = time_wal_us(wal_instance, wal_guarded, kWalReps, checksum);
-    } else {
-      g = time_wal_us(wal_instance, wal_guarded, kWalReps, checksum);
-      n = time_wal_us(wal_instance, wal_noop, kWalReps, checksum);
+  const auto frames = [&](auto& sink) {
+    std::uint64_t total = 0;
+    for (const auto& record : wal_instance.records) {
+      const std::size_t framed = frame_record(record);
+      sink.on_append(framed);
+      total += framed;
     }
-    wal_noop_us = std::min(wal_noop_us, n);
-    wal_guarded_us = std::min(wal_guarded_us, g);
-    wal_ratios.push_back(g / n);
-  }
-  std::sort(wal_ratios.begin(), wal_ratios.end());
-  const double wal_overhead_pct = (wal_ratios[kAttempts / 2] - 1.0) * 100.0;
-
-  std::printf("%-28s %14.1f us/pass\n", "no-op sink (compile-time)",
-              wal_noop_us);
-  std::printf("%-28s %14.1f us/pass\n", "guarded sink (obs disabled)",
-              wal_guarded_us);
-  std::printf("%-28s %+14.2f %%   (accept: < 2%%)\n", "overhead",
-              wal_overhead_pct);
-  std::printf("(checksum %.3e)\n", checksum);
-
-  report.metric("wal_noop_us_per_pass", wal_noop_us);
-  report.metric("wal_guarded_disabled_us_per_pass", wal_guarded_us);
-  report.metric("wal_overhead_pct", wal_overhead_pct);
-  report.metric("wal_pass", wal_overhead_pct < 2.0);
+    checksum += static_cast<double>(total);
+  };
+  frames(wal_noop);  // warm caches
+  const Overhead wal_ovh = compare(kWalReps, [&] { frames(wal_noop); },
+                                   [&] { frames(wal_guarded); });
+  const bool wal_pass =
+      report_overhead(report, "wal_", "pass", wal_ovh, checksum);
 
   bench::note("the storage.wal_appends mirror costs one relaxed atomic load");
   bench::note("per put — noise-level next to the CRC32C frame encode.");
@@ -584,50 +512,31 @@ int main(int argc, char** argv) {
   constexpr std::size_t kSimdRows = 1 << 14;
   constexpr std::size_t kSimdBatch = 1024;
   constexpr int kSimdReps = 500;
+  const char* isa = accel::simd::to_string(accel::simd::active_isa());
   report.config("simd_rows", std::int64_t{kSimdRows});
   report.config("simd_batch", std::int64_t{kSimdBatch});
-  report.config("simd_isa", accel::simd::to_string(accel::simd::active_isa()));
+  report.config("simd_isa", isa);
 
-  const SimdInstance simd_instance{kSimdRows, kSimdBatch};
+  const SimdInstance simd_instance{kSimdRows};
   SimdNoopSink simd_noop;
   SimdGuardedSink simd_guarded;
-  (void)time_simd_us(simd_instance, simd_noop, 1, checksum);  // warm caches
-
-  std::vector<double> simd_ratios;
-  double simd_noop_us = 1e300, simd_guarded_us = 1e300;
-  simd_ratios.reserve(kAttempts);
-  for (int a = 0; a < kAttempts; ++a) {
-    double n = 0.0, g = 0.0;
-    if (a % 2 == 0) {
-      n = time_simd_us(simd_instance, simd_noop, kSimdReps, checksum);
-      g = time_simd_us(simd_instance, simd_guarded, kSimdReps, checksum);
-    } else {
-      g = time_simd_us(simd_instance, simd_guarded, kSimdReps, checksum);
-      n = time_simd_us(simd_instance, simd_noop, kSimdReps, checksum);
+  const auto scans = [&](auto& sink) {
+    std::size_t total = 0;
+    for (std::size_t base = 0; base < kSimdRows; base += kSimdBatch) {
+      const std::size_t n = std::min(kSimdBatch, kSimdRows - base);
+      total += simd_scan_batch(simd_instance.values + base, n,
+                               simd_instance.sel);
+      sink.on_batch(n);
     }
-    simd_noop_us = std::min(simd_noop_us, n);
-    simd_guarded_us = std::min(simd_guarded_us, g);
-    simd_ratios.push_back(g / n);
-  }
-  std::sort(simd_ratios.begin(), simd_ratios.end());
-  const double simd_overhead_pct = (simd_ratios[kAttempts / 2] - 1.0) * 100.0;
-
-  std::printf("%-28s %14.1f us/pass  (%s kernel)\n",
-              "no-op sink (compile-time)", simd_noop_us,
-              accel::simd::to_string(accel::simd::active_isa()));
-  std::printf("%-28s %14.1f us/pass\n", "guarded sink (obs disabled)",
-              simd_guarded_us);
-  std::printf("%-28s %+14.2f %%   (accept: < 2%%)\n", "overhead",
-              simd_overhead_pct);
-  std::printf("(checksum %.3e)\n", checksum);
-
-  report.metric("simd_noop_us_per_pass", simd_noop_us);
-  report.metric("simd_guarded_disabled_us_per_pass", simd_guarded_us);
-  report.metric("simd_overhead_pct", simd_overhead_pct);
-  report.metric("simd_pass", simd_overhead_pct < 2.0);
-  report.metric("all_pass", overhead_pct < 2.0 && op_overhead_pct < 2.0 &&
-                                wal_overhead_pct < 2.0 &&
-                                simd_overhead_pct < 2.0);
+    checksum += static_cast<double>(total);
+  };
+  scans(simd_noop);  // warm caches
+  bench::note(std::string{"kernel: "} + isa);
+  const Overhead simd_ovh = compare(kSimdReps, [&] { scans(simd_noop); },
+                                    [&] { scans(simd_guarded); });
+  const bool simd_pass =
+      report_overhead(report, "simd_", "pass", simd_ovh, checksum);
+  report.metric("all_pass", fill_pass && op_pass && wal_pass && simd_pass);
 
   bench::note("the accel.simd_rows mirror costs one relaxed atomic load per");
   bench::note("1024-row batch — noise-level even on the widest-vector scan.");

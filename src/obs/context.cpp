@@ -1,8 +1,9 @@
 #include "obs/context.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
+
+#include "obs/quantile.hpp"
 
 namespace rb::obs {
 
@@ -347,15 +348,10 @@ std::vector<BandDecomposition> RequestTracer::band_summary() const {
       {"p99.9-100", 99.9, 100.0},
   };
 
-  const double n = static_cast<double>(sorted.size());
   std::vector<BandDecomposition> out;
   for (const BandDef& def : kBands) {
-    const std::size_t lo =
-        static_cast<std::size_t>(std::ceil(def.lo / 100.0 * n));
-    const std::size_t hi =
-        def.hi >= 100.0
-            ? sorted.size()
-            : static_cast<std::size_t>(std::ceil(def.hi / 100.0 * n));
+    const std::size_t lo = quantile_edge(sorted.size(), def.lo);
+    const std::size_t hi = quantile_edge(sorted.size(), def.hi);
     BandDecomposition band;
     band.band = def.name;
     band.lo_pct = def.lo;

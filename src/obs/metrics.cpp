@@ -1,12 +1,12 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <limits>
 #include <stdexcept>
 
 #include "obs/json.hpp"
+#include "obs/quantile.hpp"
 
 namespace rb::obs {
 
@@ -78,25 +78,10 @@ std::uint64_t LatencyHistogram::bucket(std::size_t i) const {
 }
 
 double LatencyHistogram::percentile(double p) const {
-  if (p < 0.0 || p > 100.0)
-    throw std::invalid_argument{"LatencyHistogram::percentile: p not in [0,100]"};
-  const std::uint64_t total = count();
-  if (total == 0) return 0.0;
-  const double rank = p / 100.0 * static_cast<double>(total);
-  std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < bucket_count(); ++i) {
-    const std::uint64_t c = counts_[i].load(std::memory_order_relaxed);
-    if (c == 0) continue;
-    if (static_cast<double>(seen + c) >= rank) {
-      const double lo = i == 0 ? 0.0 : bounds_[i - 1];
-      const double hi = i < bounds_.size() ? bounds_[i] : bounds_.back();
-      const double frac =
-          (rank - static_cast<double>(seen)) / static_cast<double>(c);
-      return lo + (hi - lo) * std::clamp(frac, 0.0, 1.0);
-    }
-    seen += c;
-  }
-  return bounds_.back();
+  std::vector<std::uint64_t> counts(bucket_count());
+  for (std::size_t i = 0; i < counts.size(); ++i)
+    counts[i] = counts_[i].load(std::memory_order_relaxed);
+  return quantile_bucketed(counts, bounds_, p);
 }
 
 void LatencyHistogram::merge_from(const LatencyHistogram& other) {

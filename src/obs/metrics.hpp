@@ -153,8 +153,9 @@ class LatencyHistogram {
   double bucket_bound(std::size_t i) const;
   std::uint64_t bucket(std::size_t i) const;
 
-  /// Percentile estimate in [0,100] by linear interpolation inside the
-  /// bucket containing the rank; 0 when empty.
+  /// Percentile estimate in [0,100]: the rank rule of obs/quantile.hpp
+  /// located in the bucket counts, interpolated inside that bucket; 0 when
+  /// empty.
   double percentile(double p) const;
 
   void merge_from(const LatencyHistogram& other);

@@ -1,9 +1,9 @@
 #include "serve/resilience.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "obs/metrics.hpp"
+#include "obs/quantile.hpp"
 
 namespace rb::serve {
 
@@ -195,19 +195,13 @@ void HedgeDelayTracker::record(double latency_s) {
 
 sim::SimTime HedgeDelayTracker::delay() const {
   if (count_ < params_.min_samples || ring_.empty()) return params_.min_delay;
-  // Recompute at most once per window/8 new samples: nth_element over the
-  // window is cheap, but not per-attempt cheap.
+  // Recompute at most once per window/8 new samples: selection over the
+  // window is O(window), cheap but not per-attempt cheap.
   const std::size_t stride = std::max<std::size_t>(ring_.size() / 8, 1);
   if (cached_at_ == 0 || count_ - cached_at_ >= stride) {
     std::vector<double> scratch{ring_};
-    const double q = std::clamp(params_.quantile, 0.0, 100.0) / 100.0;
-    const auto rank = static_cast<std::size_t>(
-        std::min<double>(std::floor(q * static_cast<double>(scratch.size())),
-                         static_cast<double>(scratch.size() - 1)));
-    std::nth_element(scratch.begin(),
-                     scratch.begin() + static_cast<std::ptrdiff_t>(rank),
-                     scratch.end());
-    const double at_rank = scratch[rank];
+    const double at_rank = obs::quantile_select(
+        scratch, std::clamp(params_.quantile, 0.0, 100.0));
     cached_delay_ = std::max(params_.min_delay, sim::from_seconds(at_rank));
     cached_at_ = count_;
   }

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "obs/quantile.hpp"
+
 namespace rb::sim {
 
 void RunningStats::add(double x) noexcept {
@@ -44,19 +46,11 @@ void RunningStats::merge(const RunningStats& other) noexcept {
 }
 
 double PercentileTracker::percentile(double p) const {
-  if (samples_.empty())
-    throw std::logic_error{"PercentileTracker::percentile: no samples"};
-  if (p < 0.0 || p > 100.0)
-    throw std::invalid_argument{"percentile: p must be in [0, 100]"};
   if (!sorted_) {
     std::sort(samples_.begin(), samples_.end());
     sorted_ = true;
   }
-  const double rank = p / 100.0 * static_cast<double>(samples_.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, samples_.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return samples_[lo] + frac * (samples_[hi] - samples_[lo]);
+  return obs::quantile_sorted(samples_, p);
 }
 
 double PercentileTracker::mean() const {
@@ -80,60 +74,6 @@ StatSummary PercentileTracker::summary() const {
   s.min = samples_.front();
   s.max = samples_.back();
   return s;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_{lo}, hi_{hi}, counts_(buckets, 0) {
-  if (!(hi > lo)) throw std::invalid_argument{"Histogram: hi must exceed lo"};
-  if (buckets == 0) throw std::invalid_argument{"Histogram: need >= 1 bucket"};
-}
-
-void Histogram::add(double x) noexcept {
-  const double t = (x - lo_) / (hi_ - lo_);
-  auto idx = static_cast<std::ptrdiff_t>(t * static_cast<double>(counts_.size()));
-  idx = std::clamp<std::ptrdiff_t>(idx, 0,
-                                   static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::bucket_low(std::size_t i) const {
-  if (i >= counts_.size()) throw std::out_of_range{"Histogram::bucket_low"};
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) /
-                   static_cast<double>(counts_.size());
-}
-
-std::string Histogram::ascii(std::size_t width) const {
-  std::uint64_t peak = 1;
-  for (auto c : counts_) peak = std::max(peak, c);
-  std::string out;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const auto bar =
-        static_cast<std::size_t>(static_cast<double>(counts_[i]) /
-                                 static_cast<double>(peak) *
-                                 static_cast<double>(width));
-    out += std::to_string(bucket_low(i));
-    out += " | ";
-    out.append(bar, '#');
-    out += '\n';
-  }
-  return out;
-}
-
-void TimeWeightedStat::update(SimTime now, double value) {
-  if (now < last_time_)
-    throw std::invalid_argument{"TimeWeightedStat: time went backwards"};
-  weighted_sum_ += value_ * static_cast<double>(now - last_time_);
-  observed_ += now - last_time_;
-  last_time_ = now;
-  value_ = value;
-}
-
-double TimeWeightedStat::average(SimTime now) const {
-  const double tail = value_ * static_cast<double>(now - last_time_);
-  const SimTime span = observed_ + (now - last_time_);
-  if (span <= 0) return value_;
-  return (weighted_sum_ + tail) / static_cast<double>(span);
 }
 
 }  // namespace rb::sim

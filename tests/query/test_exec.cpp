@@ -11,6 +11,7 @@
 #include "query/table.hpp"
 #include "storage/device.hpp"
 #include "storage/lsm.hpp"
+#include "storage/wal.hpp"
 
 namespace rb::query::exec {
 namespace {
@@ -314,6 +315,100 @@ TEST(LsmTable, RejectsBadNames) {
   EXPECT_THROW(store_table(store, "", people()), std::invalid_argument);
   EXPECT_THROW(store_table(store, "a!b", people()), std::invalid_argument);
   EXPECT_THROW(load_table(store, "missing"), std::invalid_argument);
+}
+
+std::string le32(std::uint32_t v) {
+  std::string s;
+  storage::append_u32(s, v);
+  return s;
+}
+
+std::string le64(std::uint64_t v) {
+  std::string s;
+  storage::append_u64(s, v);
+  return s;
+}
+
+/// Stores a table "g" from raw schema and row records, as a corrupt or
+/// hostile store could hold them, and reads it back.
+Table load_raw(const std::string& schema,
+               const std::vector<std::string>& rows) {
+  storage::LsmStore store{storage::LsmOptions{}};
+  store.put("t!g!s", schema);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    store.put("t!g!r!000000000" + std::to_string(i), rows[i]);
+  }
+  return load_table(store, "g");
+}
+
+TEST(LsmTable, RejectsGarbageRecords) {
+  // Columns (a int, b string) and one row (7, "hi").
+  const std::string schema =
+      le32(2) + "i" + le32(1) + "a" + "s" + le32(1) + "b";
+  const std::string row = le64(7) + le32(2) + "hi";
+  const Table good = load_raw(schema, {row});
+  ASSERT_EQ(good.row_count(), 1u);
+  EXPECT_EQ(good.ints("a"), std::vector<std::int64_t>{7});
+  EXPECT_EQ(good.strings("b"), std::vector<std::string>{"hi"});
+
+  const std::vector<std::string> bad_schemas = {
+      "",                                     // empty record
+      std::string{"\x02\x00", 2},             // truncated column count
+      le32(0xffffffff),                       // count past the end
+      le32(1) + "i" + le32(5) + "ab",         // name length past the end
+      le32(1) + "i" + le32(0xffffffff),       // huge name length
+      le32(1) + "x" + le32(1) + "a",          // unknown tag
+      le32(1) + std::string{"\0", 1} + le32(1) + "a",  // NUL tag
+      le32(1) + "i" + le32(0),                // empty column name
+      le32(2) + "i" + le32(1) + "a" + "s" + le32(1) + "a",  // duplicate name
+      schema + "z",                           // trailing byte
+  };
+  for (const std::string& bad : bad_schemas) {
+    EXPECT_THROW(load_raw(bad, {}), storage::CorruptionError)
+        << "schema of " << bad.size() << " bytes";
+  }
+  const std::vector<std::string> bad_rows = {
+      "",                                // empty record
+      row.substr(0, 5),                  // truncated int
+      le64(7),                           // missing string column
+      le64(7) + le32(9) + "hi",          // string length past the end
+      le64(7) + le32(0xffffffff) + "hi", // huge string length
+      row + "!",                         // trailing byte
+  };
+  for (const std::string& bad : bad_rows) {
+    EXPECT_THROW(load_raw(schema, {row, bad}), storage::CorruptionError)
+        << "row of " << bad.size() << " bytes";
+  }
+}
+
+TEST(LsmTable, RandomGarbageDecodesOrThrowsCorruption) {
+  const std::string schema =
+      le32(2) + "i" + le32(1) + "a" + "s" + le32(1) + "b";
+  std::uint64_t x = 0x9E3779B97F4A7C15ULL;
+  const auto garbage = [&x] {
+    std::string s;
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    const std::size_t len = x % 24;
+    for (std::size_t i = 0; i < len; ++i) {
+      x ^= x << 13;
+      x ^= x >> 7;
+      x ^= x << 17;
+      // Mostly small bytes, so counts and lengths often look plausible.
+      s.push_back(static_cast<char>(x % 4 == 0 ? x >> 8 : x % 3));
+    }
+    return s;
+  };
+  for (int i = 0; i < 2000; ++i) {
+    const std::string bytes = garbage();
+    for (const bool as_schema : {true, false}) {
+      try {
+        as_schema ? load_raw(bytes, {}) : load_raw(schema, {bytes});
+      } catch (const storage::CorruptionError&) {
+      }
+    }
+  }
 }
 
 TEST(LsmTable, ScanIsByteIdenticalToInMemoryPlan) {
